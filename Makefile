@@ -7,7 +7,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test short race race-chaos vet lint lint-sarif bench bench-json bench-gate check diff chaos chaos-net smoke-net smoke-disk fuzz tidy-check clean
+.PHONY: all build test short race race-chaos vet lint lint-sarif bench bench-json bench-gate perfbench-test check diff chaos chaos-net smoke-net smoke-disk fuzz tidy-check clean
 
 all: check
 
@@ -128,6 +128,13 @@ bench-json:
 ## CI perf-regression gate.
 bench-gate:
 	$(GO) run ./cmd/benu-bench -bench-json /tmp/bench-fresh.json -bench-baseline BENCH_PR6.json
+
+## perfbench-test: vet and self-test the repository benchmark. perfbench/
+## is its own Go module, so `go test ./...` at the root never compiles
+## it; this target makes a cluster/sched API change that breaks the
+## benchmark's build fail CI (seconds)
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 ## check: tier-1 verification — what CI (and the next PR) must keep green
 check: build vet lint test race diff chaos

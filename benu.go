@@ -128,8 +128,8 @@ type Options struct {
 	// finished run. When Metrics is nil a private registry is created for
 	// the run, so the snapshot covers exactly this enumeration.
 	Observer func(*MetricsSnapshot)
-	// Prefetch turns on the ENU-stage batched adjacency prefetcher
-	// (synchronous unless Cluster.PrefetchWorkers says otherwise).
+	// Prefetch turns on the ENU-stage batched adjacency prefetcher: each
+	// candidate set is fetched inline, in batched store round trips.
 	// Ignored when Cluster is set — configure ClusterConfig.Prefetch
 	// directly there.
 	Prefetch bool

@@ -51,7 +51,6 @@ func main() {
 		degreeFilter = flag.Bool("degree-filter", false, "add degree filtering conditions (§IV-A extension)")
 		cliqueCache  = flag.Bool("clique-cache", false, "generalize the triangle cache to pattern cliques (§IV-B extension)")
 		prefetch     = flag.Bool("prefetch", false, "batch-prefetch ENU candidate adjacency before enumerating")
-		pfWorkers    = flag.Int("prefetch-workers", 0, "async prefetch goroutines per machine (0 = synchronous inline)")
 		compact      = flag.Bool("compact", false, "use the compact varint-delta adjacency encoding in cache and fetches")
 		csrPath      = flag.String("csr", "", "serve adjacency from mmap'd CSR file(s) built by benu-store: a single file, or the prefix of <path>.<part> shards")
 		output       = flag.String("output", "", "write results to this file (VCBC stream for compressed plans, text otherwise; decode with benu-decode)")
@@ -70,7 +69,7 @@ func main() {
 		uncompressed: *uncompressed, degreeFilter: *degreeFilter,
 		cliqueCache: *cliqueCache, output: *output, verbose: *verbose,
 		metrics: *metrics, metricsJSON: *metricsJSON,
-		prefetch: *prefetch, prefetchWorkers: *pfWorkers, compact: *compact,
+		prefetch: *prefetch, compact: *compact,
 		csr:   *csrPath,
 		retry: *retry, deadline: *deadline, failFast: *failFast,
 	}); err != nil {
@@ -91,7 +90,6 @@ type runConfig struct {
 	metrics                    bool
 	metricsJSON                string
 	prefetch                   bool
-	prefetchWorkers            int
 	compact                    bool
 	csr                        string
 	retry                      int
@@ -148,7 +146,6 @@ func run(rc runConfig) error {
 	cfg.CacheBytes = int64(rc.cacheRel * float64(g.SizeBytes()))
 	cfg.Tau = rc.tau
 	cfg.Prefetch = rc.prefetch
-	cfg.PrefetchWorkers = rc.prefetchWorkers
 	cfg.CompactAdjacency = rc.compact
 
 	// A private registry isolates the snapshot to exactly this run.
@@ -174,10 +171,9 @@ func run(rc runConfig) error {
 
 	// Fault tolerance: the resilient decorator wraps outermost (so latency
 	// observation below it times each raw attempt), and the cluster gets a
-	// matching task re-execution budget. -failfast strips both layers.
-	if rc.failFast {
-		cfg.FailFast = true
-	} else if rc.retry > 0 || rc.deadline > 0 {
+	// matching task re-execution budget. -failfast strips both layers
+	// (TaskRetries stays 0: the first task failure fails the run).
+	if !rc.failFast && (rc.retry > 0 || rc.deadline > 0) {
 		pol := resilience.DefaultPolicy()
 		if rc.retry > 0 {
 			pol.MaxAttempts = rc.retry + 1
@@ -260,9 +256,9 @@ func run(rc runConfig) error {
 	fmt.Printf("communication: %d DB queries, %.2f MB fetched, cache hit rate %.1f%%\n",
 		res.DBQueries, float64(res.BytesFetched)/(1<<20), res.CacheHitRate*100)
 	if rc.prefetch || rc.compact {
-		fmt.Printf("data plane: %d store trips (%.1f keys/trip), prefetch=%v workers=%d compact=%v\n",
+		fmt.Printf("data plane: %d store trips (%.1f keys/trip), prefetch=%v compact=%v\n",
 			res.StoreTrips, float64(res.DBQueries)/float64(max64(res.StoreTrips, 1)),
-			rc.prefetch, rc.prefetchWorkers, rc.compact)
+			rc.prefetch, rc.compact)
 	}
 	if rc.verbose {
 		for _, w := range res.PerWorker {

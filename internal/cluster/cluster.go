@@ -51,10 +51,6 @@ type Config struct {
 	// candidate set is handed to the machine's source and fetched in
 	// batched store round trips.
 	Prefetch bool
-	// PrefetchWorkers is the number of background prefetch goroutines per
-	// machine. 0 (with Prefetch on) fetches synchronously inline — fully
-	// deterministic, errors surface on the querying thread.
-	PrefetchWorkers int
 	// CompactAdjacency moves each machine's data plane to the compact
 	// varint-delta encoding: batched fetches travel and cache as encoded
 	// bytes, and executors decode into per-instruction scratch.
@@ -74,10 +70,6 @@ type Config struct {
 	// retried task can never double-count. 0 disables re-execution
 	// (the first task failure fails the run).
 	TaskRetries int
-	// FailFast disables task re-execution even when TaskRetries is set:
-	// the first task failure fails the run immediately. The escape hatch
-	// for debugging — a fault surfaces instead of being healed.
-	FailFast bool
 	// SequentialWorkers runs the simulated machines one after another
 	// instead of concurrently. Use when measuring per-worker busy time
 	// on a host with fewer cores than simulated machines: each machine's
@@ -180,64 +172,6 @@ func Run(pl *plan.Plan, store kv.Store, ord *graph.TotalOrder, degree func(v int
 	return RunContext(context.Background(), pl, store, ord, degree, cfg)
 }
 
-// taskAttempt is one queue entry: a local search task plus how many
-// times it has already failed.
-type taskAttempt struct {
-	t     exec.Task
-	tries int
-}
-
-// emitBuffer holds one task attempt's emissions while re-execution is
-// on. A failed attempt may have emitted partial results before its
-// fault; delivering them and then re-running the task would deliver
-// them twice. Buffering until the attempt succeeds makes delivery
-// exactly-once at the cost of one copy per result (the executor reuses
-// the emitted slices, so retention requires copying anyway).
-type emitBuffer struct {
-	matches [][]int64
-	codes   []*vcbc.Code
-}
-
-// install redirects opts' emit callbacks into the buffer (only the ones
-// the user actually set).
-func (b *emitBuffer) install(opts *exec.Options, cfg Config) {
-	if cfg.Emit != nil {
-		opts.Emit = func(f []int64) bool {
-			b.matches = append(b.matches, append([]int64(nil), f...))
-			return true
-		}
-	}
-	if cfg.EmitCode != nil {
-		opts.EmitCode = func(c *vcbc.Code) bool {
-			b.codes = append(b.codes, c.Clone())
-			return true
-		}
-	}
-}
-
-// reset discards a previous attempt's buffered results.
-func (b *emitBuffer) reset() {
-	b.matches = b.matches[:0]
-	b.codes = b.codes[:0]
-}
-
-// flush delivers a successful attempt's results to the user callbacks.
-// A callback returning false stops delivery (its contract is "stop the
-// current task early"; the task is already complete, so the remainder
-// of the buffer is simply dropped).
-func (b *emitBuffer) flush(cfg Config) {
-	for _, m := range b.matches {
-		if !cfg.Emit(m) {
-			break
-		}
-	}
-	for _, c := range b.codes {
-		if !cfg.EmitCode(c) {
-			break
-		}
-	}
-}
-
 // RunContext is Run bounded by ctx: cancellation stops task dispatch on
 // every worker, interrupts store traffic (the machine caches stop
 // issuing round trips, and a kv.Resilient store is rebound so its
@@ -261,7 +195,7 @@ func RunContext(ctx context.Context, pl *plan.Plan, store kv.Store, ord *graph.T
 	if pl.Pattern.Labeled() && cfg.LabelOf == nil {
 		return nil, fmt.Errorf("cluster: labeled pattern %q requires Config.LabelOf", pl.Pattern.Name())
 	}
-	tasks, splitCount := generateTasks(pl, prog, n, degree, cfg.Tau, cfg.LabelOf)
+	tasks, splitCount := GenerateTasks(pl, prog, n, degree, cfg.Tau, cfg.LabelOf)
 
 	// Shuffle tasks evenly to workers (round-robin, like the paper's
 	// even shuffle of map output to reducers).
@@ -289,13 +223,39 @@ func RunContext(ctx context.Context, pl *plan.Plan, store kv.Store, ord *graph.T
 	runCtx, cancelRun := context.WithCancel(ctx)
 	defer cancelRun()
 
-	// Task re-execution is on when a retry budget is configured and the
-	// FailFast escape hatch is off.
-	retrying := cfg.TaskRetries > 0 && !cfg.FailFast
+	mcfg := MachineConfig{
+		Prog: prog,
+		// A context-binding store (kv.Resilient, or any decorator chain
+		// over one) is rebound to the run's context so cancellation
+		// also stops its retry loops mid-backoff.
+		Store:      kv.WithContext(store, runCtx),
+		Ord:        ord,
+		Threads:    cfg.ThreadsPerWorker,
+		CacheBytes: cfg.CacheBytes,
+		Source: exec.SourceOptions{
+			Compact:   cfg.CompactAdjacency,
+			BatchSize: cfg.PrefetchBatchSize,
+			Obs:       reg,
+			Ctx:       runCtx,
+		},
+		Prefetch:             cfg.Prefetch,
+		TriangleCacheEntries: cfg.TriangleCacheEntries,
+		DegreeOf:             degree,
+		LabelOf:              cfg.LabelOf,
+	}
+	// Under re-execution, emissions buffer per task and reach the
+	// user's callbacks only when the attempt succeeds — a failed
+	// attempt's partial results vanish with it, so a retry cannot
+	// double-deliver. Without it they stream straight through.
+	if cfg.TaskRetries > 0 {
+		mcfg.BufferMatches = cfg.Emit != nil
+		mcfg.BufferCodes = cfg.EmitCode != nil
+	} else {
+		mcfg.Emit, mcfg.EmitCode = cfg.Emit, cfg.EmitCode
+	}
 
 	var (
 		mu           sync.Mutex // guards res.TaskTimes
-		wg           sync.WaitGroup
 		runErr       error
 		errOnce      sync.Once
 		timedOut     atomic.Bool
@@ -308,169 +268,124 @@ func RunContext(ctx context.Context, pl *plan.Plan, store kv.Store, ord *graph.T
 	//benulint:wallclock run timing feeds Result.Wall and the deadline check, never the embeddings
 	start := time.Now()
 
+	// runWorker runs one machine fed from its share of the shuffle: an
+	// index into the share plus a retry-first requeue stack.
 	runWorker := func(w int) {
-		{
-			// One machine: a shared cached source and a work queue
-			// drained by ThreadsPerWorker threads. A context-binding
-			// store (kv.Resilient, or any decorator chain over one) is
-			// rebound to the run's context so cancellation also stops
-			// its retry loops mid-backoff.
-			mstore := kv.WithContext(store, runCtx)
-			src := exec.NewCachedSourceWith(mstore, cfg.CacheBytes, exec.SourceOptions{
-				Compact:         cfg.CompactAdjacency,
-				PrefetchWorkers: cfg.PrefetchWorkers,
-				BatchSize:       cfg.PrefetchBatchSize,
-				Obs:             reg,
-				Ctx:             runCtx,
-			})
-			queue := queues[w]
-			var next int
-			var qmu sync.Mutex
-			var retryQ []taskAttempt
-			// pop prefers re-executions over fresh tasks: a retried task
-			// already holds warm cache entries, and draining it first
-			// bounds the failure window. Retried pops do not touch the
-			// dispatch accounting — the task was already counted when it
-			// was first popped.
-			pop := func() (taskAttempt, bool) {
+		queue := queues[w]
+		var next int
+		var qmu sync.Mutex // guards next and retryQ
+		var retryQ []taskAttempt
+		threads := make([]localThread, cfg.ThreadsPerWorker)
+		m := NewMachine(mcfg)
+		m.Run(Feed{
+			// Next prefers re-executions over fresh tasks: a retried
+			// task already holds warm cache entries, and draining it
+			// first bounds the failure window. Retried pops do not touch
+			// the dispatch accounting — the task was already counted
+			// when it was first popped.
+			Next: func(th int) (exec.Task, bool) {
 				if runCtx.Err() != nil {
 					cancelled.Store(true)
-					return taskAttempt{}, false
+					return exec.Task{}, false
 				}
 				//benulint:wallclock Config.Deadline is an explicit wall-clock budget (the paper's >7200s cells)
 				if cfg.Deadline > 0 && time.Since(start) > cfg.Deadline {
 					timedOut.Store(true)
-					return taskAttempt{}, false
+					return exec.Task{}, false
 				}
 				qmu.Lock()
 				defer qmu.Unlock()
+				t := &threads[th]
 				if n := len(retryQ); n > 0 {
-					ta := retryQ[n-1]
+					t.cur = retryQ[n-1]
 					retryQ = retryQ[:n-1]
-					return ta, true
+					return t.cur.t, true
 				}
 				if next >= len(queue) {
-					return taskAttempt{}, false
+					return exec.Task{}, false
 				}
-				t := queue[next]
+				t.cur = taskAttempt{t: queue[next]}
 				next++
 				dispatched.Add(1)
 				queueDepth.Add(-1)
-				return taskAttempt{t: t}, true
-			}
-			requeue := func(ta taskAttempt) {
-				qmu.Lock()
-				retryQ = append(retryQ, ta)
-				qmu.Unlock()
-			}
-
-			threadStats := make([]exec.Stats, cfg.ThreadsPerWorker)
-			busy := make([]time.Duration, cfg.ThreadsPerWorker)
-			taskCount := make([]int, cfg.ThreadsPerWorker)
-
-			var tw sync.WaitGroup
-			for th := 0; th < cfg.ThreadsPerWorker; th++ {
-				th := th
-				tw.Add(1)
-				go func() {
-					defer tw.Done()
-					eopts := exec.Options{
-						Emit:                 cfg.Emit,
-						EmitCode:             cfg.EmitCode,
-						TriangleCacheEntries: cfg.TriangleCacheEntries,
-						Obs:                  reg,
-						Prefetch:             cfg.Prefetch,
-						CompactAdjacency:     cfg.CompactAdjacency,
+				return t.cur.t, true
+			},
+			// Finish commits a successful attempt, requeues a failed one
+			// while its retry budget lasts, and otherwise fails the run.
+			Finish: func(th int, a *Attempt) bool {
+				t := &threads[th]
+				if a.Err != nil {
+					if runCtx.Err() != nil {
+						// Cancellation surfacing through the store, not a
+						// task fault.
+						cancelled.Store(true)
+						return false
 					}
-					if pl.DegreeFiltered {
-						eopts.DegreeOf = degree
+					ta := t.cur
+					if ta.tries < cfg.TaskRetries {
+						ta.tries++
+						tasksRetried.Add(1)
+						qmu.Lock()
+						retryQ = append(retryQ, ta)
+						qmu.Unlock()
+						return true
 					}
-					eopts.LabelOf = cfg.LabelOf
-					// Under re-execution, emissions buffer per task and
-					// reach the user's callbacks only when the attempt
-					// succeeds — a failed attempt's partial results
-					// vanish with it, so a retry cannot double-deliver.
-					var ebuf emitBuffer
-					if retrying {
-						ebuf.install(&eopts, cfg)
+					tasksFailed.Add(1)
+					err := a.Err
+					if ta.tries > 0 {
+						err = fmt.Errorf("cluster: task start=%d failed after %d attempts: %w", ta.t.Start, ta.tries+1, err)
 					}
-					// committed accumulates only successful attempts'
-					// stats deltas; failed attempts' partial work never
-					// reaches the run totals (exactly-once accounting).
-					var committed exec.Stats
-					e := exec.NewExecutor(prog, src, n, ord, eopts)
-					for {
-						ta, ok := pop()
-						if !ok {
-							break
-						}
-						ebuf.reset()
-						sp := reg.StartSpan("cluster.task")
-						delta, err := e.Run(ta.t)
-						d := sp.End()
-						if err != nil {
-							if runCtx.Err() != nil {
-								// Cancellation surfacing through the
-								// store, not a task fault.
-								cancelled.Store(true)
-								break
-							}
-							if retrying && ta.tries < cfg.TaskRetries {
-								ta.tries++
-								tasksRetried.Add(1)
-								requeue(ta)
-								continue
-							}
-							tasksFailed.Add(1)
-							errOnce.Do(func() {
-								if ta.tries > 0 {
-									runErr = fmt.Errorf("cluster: task start=%d failed after %d attempts: %w", ta.t.Start, ta.tries+1, err)
-								} else {
-									runErr = err
-								}
-							})
-							cancelRun()
-							break
-						}
-						committed.Add(delta)
-						ebuf.flush(cfg)
-						busy[th] += d
-						taskCount[th]++
-						if cfg.CollectTaskTimes {
-							mu.Lock()
-							res.TaskTimes = append(res.TaskTimes, d)
-							mu.Unlock()
-						}
+					errOnce.Do(func() { runErr = err })
+					cancelRun()
+					return false
+				}
+				t.committed.Add(a.Stats)
+				// Deliver buffered results (none when re-execution is
+				// off). A callback returning false stops delivery: its
+				// contract is "stop the current task early", and the
+				// task is already complete.
+				for _, m := range a.Matches {
+					if !cfg.Emit(m) {
+						break
 					}
-					threadStats[th] = committed
-				}()
-			}
-			tw.Wait()
-			// Drain the async prefetch workers before reading the source's
-			// counters, so the per-machine stats are settled.
-			src.Close()
-			ws := &perWorker[w]
-			ws.Machine = w
-			for th := range threadStats {
-				ws.Exec.Add(threadStats[th])
-				ws.BusyTime += busy[th]
-				ws.Tasks += taskCount[th]
-			}
-			ws.Cache = src.Cache().Stats()
-			ws.RemoteQ = src.RemoteQueries()
-			ws.RemoteB = src.RemoteBytes()
-			ws.RemoteT = src.RemoteTrips()
-			ws.TriHits = ws.Exec.TriHits
-			ws.TriMisses = ws.Exec.TriMisses
+				}
+				for _, c := range a.Codes {
+					if !cfg.EmitCode(c) {
+						break
+					}
+				}
+				t.busy += a.Duration
+				t.tasks++
+				if cfg.CollectTaskTimes {
+					mu.Lock()
+					res.TaskTimes = append(res.TaskTimes, a.Duration)
+					mu.Unlock()
+				}
+				return true
+			},
+		})
+		src := m.Source()
+		ws := &perWorker[w]
+		ws.Machine = w
+		for _, t := range threads {
+			ws.Exec.Add(t.committed)
+			ws.BusyTime += t.busy
+			ws.Tasks += t.tasks
 		}
+		ws.Cache = src.Cache().Stats()
+		ws.RemoteQ = src.RemoteQueries()
+		ws.RemoteB = src.RemoteBytes()
+		ws.RemoteT = src.RemoteTrips()
+		ws.TriHits = ws.Exec.TriHits
+		ws.TriMisses = ws.Exec.TriMisses
 	}
 	if cfg.SequentialWorkers {
 		for w := 0; w < cfg.Workers; w++ {
 			runWorker(w)
 		}
 	} else {
+		var wg sync.WaitGroup
 		for w := 0; w < cfg.Workers; w++ {
-			w := w
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -516,6 +431,24 @@ func RunContext(ctx context.Context, pl *plan.Plan, store kv.Store, ord *graph.T
 	return res, nil
 }
 
+// taskAttempt is one queue entry: a local search task plus how many
+// times it has already failed.
+type taskAttempt struct {
+	t     exec.Task
+	tries int
+}
+
+// localThread is one thread's slot in a simulated machine's feed,
+// touched only by that thread.
+type localThread struct {
+	cur taskAttempt // the attempt Next last handed out
+	// committed accumulates only successful attempts' stats deltas;
+	// failed attempts' partial work never reaches the run totals.
+	committed exec.Stats
+	busy      time.Duration
+	tasks     int
+}
+
 // publishObs records the run-level summary into the metrics registry:
 // the communication/result counters that Result reports, plus the cache
 // and per-worker skew figures the paper's Exp-3/Exp-4 build on. Executor
@@ -554,20 +487,14 @@ func publishObs(reg *obs.Registry, res *Result) {
 	reg.Gauge("cache.entries").Set(float64(entries))
 }
 
-// GenerateTasks exposes §V-B task generation to the networked control
-// plane (internal/cluster/sched): the same candidate filtering and
-// τ-splitting the simulated cluster applies, so the two deployments
-// enumerate identical task sets. Returns the tasks and how many of them
-// are split subtasks.
-func GenerateTasks(pl *plan.Plan, prog *exec.Program, n int, degree func(v int64) int, tau int, labelOf func(v int64) int64) ([]exec.Task, int) {
-	return generateTasks(pl, prog, n, degree, tau, labelOf)
-}
-
-// generateTasks produces one local search task per data vertex, splitting
+// GenerateTasks produces one local search task per data vertex, splitting
 // heavy start vertices per §V-B: a vertex with degree ≥ τ yields
 // ⌈d/τ⌉ subtasks when the second matching-order vertex anchors on the
-// start's adjacency, or ⌈N/τ⌉ when its candidate set is V(G).
-func generateTasks(pl *plan.Plan, prog *exec.Program, n int, degree func(v int64) int, tau int, labelOf func(v int64) int64) ([]exec.Task, int) {
+// start's adjacency, or ⌈N/τ⌉ when its candidate set is V(G). The
+// networked control plane (internal/cluster/sched) calls it too, so the
+// two deployments enumerate identical task sets. Returns the tasks and
+// how many of them are split subtasks.
+func GenerateTasks(pl *plan.Plan, prog *exec.Program, n int, degree func(v int64) int, tau int, labelOf func(v int64) int64) ([]exec.Task, int) {
 	var tasks []exec.Task
 	split := 0
 	canSplit := tau > 0 && prog.SupportsSplitting() && degree != nil

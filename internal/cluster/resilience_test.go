@@ -20,7 +20,7 @@ import (
 )
 
 // Fault-tolerant execution tests: task re-execution with exactly-once
-// accounting, the FailFast escape hatch, cancellation end-to-end, and
+// accounting, failing fast with no retry budget, cancellation end-to-end, and
 // the full resilient stack over a faulty TCP storage tier.
 
 func TestRunContextPreCancelled(t *testing.T) {
@@ -200,11 +200,10 @@ func TestFailFastSurfacesFirstFault(t *testing.T) {
 	store.Transient = true
 	store.FailEveryN = 50
 	cfg := Defaults(g)
-	cfg.TaskRetries = 10
-	cfg.FailFast = true
+	cfg.TaskRetries = 0 // fail fast: the first task failure fails the run
 	res, err := Run(pl, store, ord, g.Degree, cfg)
 	if err == nil {
-		t.Fatalf("FailFast healed a fault (retried %d)", res.TasksRetried)
+		t.Fatalf("TaskRetries=0 healed a fault (retried %d)", res.TasksRetried)
 	}
 	if !errors.Is(err, kv.ErrInjected) {
 		t.Errorf("error chain lost the cause: %v", err)

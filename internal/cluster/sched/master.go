@@ -84,7 +84,6 @@ type MasterConfig struct {
 	// Worker execution settings, propagated via JoinReply.
 	CompactAdjacency     bool
 	Prefetch             bool
-	PrefetchBatchSize    int
 	TriangleCacheEntries int
 	// Obs selects the metrics registry (sched.* names, plus the
 	// cluster.tasks.retried/failed re-execution counters). nil means
@@ -713,7 +712,6 @@ func (s *schedService) Join(args *JoinArgs, reply *JoinReply) error {
 	reply.WantCodes = m.cfg.EmitCode != nil
 	reply.CompactAdjacency = m.cfg.CompactAdjacency
 	reply.Prefetch = m.cfg.Prefetch
-	reply.PrefetchBatchSize = m.cfg.PrefetchBatchSize
 	reply.TriangleCacheEntries = m.cfg.TriangleCacheEntries
 	return nil
 }

@@ -112,7 +112,6 @@ type JoinReply struct {
 	// and costs are comparable.
 	CompactAdjacency     bool
 	Prefetch             bool
-	PrefetchBatchSize    int
 	TriangleCacheEntries int
 }
 

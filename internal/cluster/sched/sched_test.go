@@ -7,9 +7,11 @@ import (
 	"os"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
+	"benu/internal/cluster"
 	"benu/internal/estimate"
 	"benu/internal/exec"
 	"benu/internal/gen"
@@ -17,6 +19,7 @@ import (
 	"benu/internal/kv"
 	"benu/internal/obs"
 	"benu/internal/plan"
+	"benu/internal/vcbc"
 )
 
 // TestMain hooks the cross-process harness: when the binary is re-exec'd
@@ -106,6 +109,108 @@ func TestNetRoundTrip(t *testing.T) {
 			}
 			if got := reg.Counter("sched.tasks.completed").Value(); got != int64(res.Tasks) {
 				t.Errorf("q%d: sched.tasks.completed = %d, want %d", qi, got, res.Tasks)
+			}
+		}
+	}
+}
+
+// TestRuntimeParity runs the same plan and graph through the simulated
+// cluster (cluster.Run) and through a master with two workers, under
+// identical execution settings, and requires identical committed
+// executor counters and delivered emissions. Both runtimes drive the
+// same machine core, so drift in how either feeds tasks, buffers
+// emissions or commits attempts shows up here. The triangle cache is
+// off: its hit counts depend on which thread ran which task.
+func TestRuntimeParity(t *testing.T) {
+	g := testGraph()
+	ord := graph.NewTotalOrder(g)
+	const tau = 16
+	for _, qi := range []int{1, 4} {
+		p := gen.Q(qi)
+		refCount := graph.RefCount(p, g, ord)
+		for _, opts := range []plan.Options{plan.OptimizedUncompressed, plan.AllOptions} {
+			pl := bestPlan(t, p, g, opts)
+			name := fmt.Sprintf("q%d compressed=%v", qi, pl.Compressed)
+
+			// Emissions are counted under a lock on the master as well:
+			// its callbacks run on RPC handler goroutines.
+			var mu sync.Mutex
+			var localEmitted, netEmitted int64
+			count := func(n *int64) (func([]int64) bool, func(*vcbc.Code) bool) {
+				inc := func() bool {
+					mu.Lock()
+					*n++
+					mu.Unlock()
+					return true
+				}
+				return func([]int64) bool { return inc() }, func(*vcbc.Code) bool { return inc() }
+			}
+
+			reg := obs.NewRegistry()
+			mcfg := masterFor(t, pl, g, reg)
+			mcfg.Tau = tau
+			mcfg.TriangleCacheEntries = 0
+			mcfg.Prefetch, mcfg.CompactAdjacency = true, true
+			mcfg.Emit, mcfg.EmitCode = count(&netEmitted)
+
+			ccfg := cluster.Defaults(g)
+			ccfg.Workers, ccfg.ThreadsPerWorker = 2, 2
+			ccfg.Tau = tau
+			ccfg.TriangleCacheEntries = 0
+			ccfg.Prefetch, ccfg.CompactAdjacency = true, true
+			ccfg.TaskRetries = mcfg.TaskRetries
+			ccfg.Emit, ccfg.EmitCode = count(&localEmitted)
+			ccfg.Obs = obs.NewRegistry()
+			local, err := cluster.Run(pl, kv.NewLocal(g), ord, g.Degree, ccfg)
+			if err != nil {
+				t.Fatalf("%s: cluster.Run: %v", name, err)
+			}
+			var localStats exec.Stats
+			for _, ws := range local.PerWorker {
+				localStats.Add(ws.Exec)
+			}
+
+			m, err := StartMaster("127.0.0.1:0", mcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var workers []*Worker
+			for i := 0; i < 2; i++ {
+				w, err := StartWorker(m.Addr(), WorkerConfig{
+					Threads: 2, CacheBytes: ccfg.CacheBytes, Store: kv.NewLocal(g), Obs: reg,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				workers = append(workers, w)
+			}
+			net := waitResult(t, m)
+			for _, w := range workers {
+				if err := w.Wait(); err != nil {
+					t.Errorf("%s: worker %d exit: %v", name, w.ID(), err)
+				}
+			}
+			m.Close()
+
+			if net.Tasks != local.Tasks || net.SplitTasks != local.SplitTasks {
+				t.Errorf("%s: tasks %d (%d split) on the master, %d (%d split) in cluster.Run",
+					name, net.Tasks, net.SplitTasks, local.Tasks, local.SplitTasks)
+			}
+			if local.SplitTasks == 0 {
+				t.Errorf("%s: tau=%d split no task; the test exercises no split path", name, tau)
+			}
+			if localStats.Matches != refCount {
+				t.Errorf("%s: %d matches, reference enumerator finds %d", name, localStats.Matches, refCount)
+			}
+			if net.Stats != localStats {
+				t.Errorf("%s: committed stats differ\n  master:      %+v\n  cluster.Run: %+v", name, net.Stats, localStats)
+			}
+			want := localStats.Matches
+			if pl.Compressed {
+				want = localStats.Codes
+			}
+			if want == 0 || localEmitted != want || netEmitted != want {
+				t.Errorf("%s: delivered %d (cluster.Run) and %d (master), want %d", name, localEmitted, netEmitted, want)
 			}
 		}
 	}

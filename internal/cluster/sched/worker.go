@@ -10,13 +10,13 @@ import (
 	"sync"
 	"time"
 
+	"benu/internal/cluster"
 	"benu/internal/exec"
 	"benu/internal/graph"
 	"benu/internal/kv"
 	"benu/internal/obs"
 	"benu/internal/plan"
 	"benu/internal/resilience"
-	"benu/internal/vcbc"
 )
 
 // WorkerConfig parameterizes one worker machine.
@@ -82,11 +82,9 @@ type leasedTask struct {
 // worker runs in the background until the master reports the run done,
 // the connection drops, or Close/Shutdown/Kill.
 type Worker struct {
-	name       string
 	masterAddr string
 	joinArgs   JoinArgs
 	planBytes  []byte
-	reg        *obs.Registry
 
 	retrier     *resilience.Retrier // nil: no retries, no rejoin
 	retryCtx    context.Context
@@ -94,8 +92,10 @@ type Worker struct {
 	rejoinsC    *obs.Counter
 	dropStaleC  *obs.Counter
 
-	src        *exec.CachedSource
-	dialed     *kv.Client // non-nil when we own the store connection
+	m          *cluster.Machine
+	taskCh     chan leasedTask // dispatchLoop → the machine's threads
+	cur        []leasedTask    // per thread: the task nextTask last handed out
+	dialed     *kv.Client      // non-nil when we own the store connection
 	heartbeat  time.Duration
 	leaseBatch int
 
@@ -175,24 +175,17 @@ func StartWorker(addr string, cfg WorkerConfig) (*Worker, error) {
 		}
 		store = dialed
 	}
-	src := exec.NewCachedSourceWith(store, cfg.CacheBytes, exec.SourceOptions{
-		Compact:   join.CompactAdjacency,
-		BatchSize: join.PrefetchBatchSize,
-		Obs:       reg,
-	})
-
 	w := &Worker{
-		name:       cfg.Name,
 		masterAddr: addr,
 		joinArgs:   args,
 		planBytes:  join.Plan,
-		reg:        reg,
 		rejoinsC:   reg.Counter("sched.worker.rejoins"),
 		dropStaleC: reg.Counter("sched.worker.dropped_stale"),
-		src:        src,
 		dialed:     dialed,
 		heartbeat:  join.HeartbeatEvery,
 		leaseBatch: 2 * cfg.Threads,
+		taskCh:     make(chan leasedTask),
+		cur:        make([]leasedTask, cfg.Threads),
 		quit:       make(chan struct{}),
 		drain:      make(chan struct{}),
 		done:       make(chan struct{}),
@@ -214,7 +207,30 @@ func StartWorker(addr string, cfg WorkerConfig) (*Worker, error) {
 		client.Close()
 		return nil, fmt.Errorf("sched: labeled plan but join sent %d labels for %d vertices", len(join.Labels), join.NumVertices)
 	}
-	go w.run(prog, pl, ord, join, cfg.Threads)
+	mcfg := cluster.MachineConfig{
+		Prog:                 prog,
+		Store:                store,
+		Ord:                  ord,
+		Threads:              cfg.Threads,
+		CacheBytes:           cfg.CacheBytes,
+		Source:               exec.SourceOptions{Compact: join.CompactAdjacency, Obs: reg},
+		Prefetch:             join.Prefetch,
+		TriangleCacheEntries: join.TriangleCacheEntries,
+		// Emissions always travel inside the report, so a task's
+		// matches are delivered iff its completion commits.
+		BufferMatches: join.WantMatches,
+		BufferCodes:   join.WantCodes,
+	}
+	if len(join.Degrees) > 0 {
+		degrees := join.Degrees
+		mcfg.DegreeOf = func(v int64) int { return int(degrees[v]) }
+	}
+	if pl.Pattern.Labeled() {
+		labels := join.Labels
+		mcfg.LabelOf = func(v int64) int64 { return labels[v] }
+	}
+	w.m = cluster.NewMachine(mcfg)
+	go w.run()
 	return w, nil
 }
 
@@ -467,19 +483,16 @@ func callSched[R any](w *Worker, method string, mk func(id int, epoch uint64) an
 }
 
 // run is the worker body: a dispatcher leasing batches into taskCh,
-// Threads executor goroutines draining it, and a heartbeat ticker.
-func (w *Worker) run(prog *exec.Program, pl *plan.Plan, ord *graph.TotalOrder, join JoinReply, threads int) {
+// the machine's threads draining it, and a heartbeat ticker.
+func (w *Worker) run() {
 	defer close(w.done)
-	taskCh := make(chan leasedTask)
 
 	var tg sync.WaitGroup
-	for th := 0; th < threads; th++ {
-		tg.Add(1)
-		go func() {
-			defer tg.Done()
-			w.threadLoop(prog, pl, ord, join, taskCh)
-		}()
-	}
+	tg.Add(1)
+	go func() {
+		defer tg.Done()
+		w.m.Run(cluster.Feed{Next: w.nextTask, Finish: w.finishTask})
+	}()
 
 	var hg sync.WaitGroup
 	hg.Add(1)
@@ -488,12 +501,11 @@ func (w *Worker) run(prog *exec.Program, pl *plan.Plan, ord *graph.TotalOrder, j
 		w.heartbeatLoop()
 	}()
 
-	w.dispatchLoop(taskCh)
-	close(taskCh)
+	w.dispatchLoop(w.taskCh)
+	close(w.taskCh)
 	tg.Wait()
 	w.quitOnce.Do(func() { close(w.quit) }) // release the heartbeater
 	hg.Wait()
-	w.src.Close()
 	if w.dialed != nil {
 		w.dialed.Close()
 	}
@@ -557,40 +569,10 @@ func (w *Worker) dispatchLoop(taskCh chan<- leasedTask) {
 	}
 }
 
-// threadLoop is one executor thread: run each task, buffer its
-// emissions, report the attempt.
-func (w *Worker) threadLoop(prog *exec.Program, pl *plan.Plan, ord *graph.TotalOrder, join JoinReply, taskCh <-chan leasedTask) {
-	var matches [][]int64
-	var codes []*vcbc.Code
-	eopts := exec.Options{
-		TriangleCacheEntries: join.TriangleCacheEntries,
-		Obs:                  w.reg,
-		Prefetch:             join.Prefetch,
-		CompactAdjacency:     join.CompactAdjacency,
-	}
-	if join.WantMatches && !pl.Compressed {
-		eopts.Emit = func(f []int64) bool {
-			matches = append(matches, append([]int64(nil), f...))
-			return true
-		}
-	}
-	if join.WantCodes && pl.Compressed {
-		eopts.EmitCode = func(c *vcbc.Code) bool {
-			codes = append(codes, c.Clone())
-			return true
-		}
-	}
-	if pl.DegreeFiltered && len(join.Degrees) > 0 {
-		degrees := join.Degrees
-		eopts.DegreeOf = func(v int64) int { return int(degrees[v]) }
-	}
-	if pl.Pattern.Labeled() {
-		labels := join.Labels
-		eopts.LabelOf = func(v int64) int64 { return labels[v] }
-	}
-	e := exec.NewExecutor(prog, w.src, join.NumVertices, ord, eopts)
-
-	for wt := range taskCh {
+// nextTask is the machine's cluster.Feed.Next: the next leased task,
+// skipping revoked and stale leases.
+func (w *Worker) nextTask(th int) (exec.Task, bool) {
+	for wt := range w.taskCh {
 		if w.taskRevoked(wt.ID) {
 			continue
 		}
@@ -603,51 +585,58 @@ func (w *Worker) threadLoop(prog *exec.Program, pl *plan.Plan, ord *graph.TotalO
 			continue
 		}
 		w.setRunning(wt.ID, true)
-		matches, codes = matches[:0], codes[:0]
-		sp := w.reg.StartSpan("cluster.task")
-		stats, err := e.Run(wt.Task)
-		d := sp.End()
-		w.setRunning(wt.ID, false)
-		if w.stopped() && w.isKilled() {
-			return // crashed: report nothing, let the lease expire
-		}
-		// Report under whatever session is current — a completed result
-		// is never thrown away. If the session died mid-task the retry
-		// path rejoins first, and the commit lands under the new
-		// identity and epoch; the master commits by task ID, so it does
-		// not matter who reports it (dedup drops it if someone else,
-		// or a previous incarnation's journal, got there first).
-		reply, _, cerr := callSched[ReportReply](w, "Sched.Report", func(id int, epoch uint64) any {
-			report := &ReportArgs{
-				WorkerID:   id,
-				Epoch:      epoch,
-				TaskID:     wt.ID,
-				DurationNs: d.Nanoseconds(),
-			}
-			if err != nil {
-				report.Err = err.Error()
-			} else {
-				report.Stats = stats
-				report.Matches = matches
-				report.Codes = codes
-			}
-			return report
-		})
-		if cerr != nil {
-			w.stop(fmt.Errorf("sched: report: %w", cerr))
-			return
-		}
-		if err == nil && reply.Accepted {
-			w.mu.Lock()
-			w.stats.Add(stats)
-			w.tasks++
-			w.mu.Unlock()
-		}
-		if reply.Done {
-			w.quitOnce.Do(func() { close(w.quit) })
-			return
-		}
+		w.cur[th] = wt
+		return wt.Task, true
 	}
+	return exec.Task{}, false
+}
+
+// finishTask is the machine's cluster.Feed.Finish: report the attempt,
+// success or not, to the master, which commits it exactly once by
+// task ID.
+func (w *Worker) finishTask(th int, a *cluster.Attempt) bool {
+	wt := w.cur[th]
+	w.setRunning(wt.ID, false)
+	if w.stopped() && w.isKilled() {
+		return false // crashed: report nothing, let the lease expire
+	}
+	// Report under whatever session is current — a completed result
+	// is never thrown away. If the session died mid-task the retry
+	// path rejoins first, and the commit lands under the new
+	// identity and epoch; the master commits by task ID, so it does
+	// not matter who reports it (dedup drops it if someone else,
+	// or a previous incarnation's journal, got there first).
+	reply, _, cerr := callSched[ReportReply](w, "Sched.Report", func(id int, epoch uint64) any {
+		report := &ReportArgs{
+			WorkerID:   id,
+			Epoch:      epoch,
+			TaskID:     wt.ID,
+			DurationNs: a.Duration.Nanoseconds(),
+		}
+		if a.Err != nil {
+			report.Err = a.Err.Error()
+		} else {
+			report.Stats = a.Stats
+			report.Matches = a.Matches
+			report.Codes = a.Codes
+		}
+		return report
+	})
+	if cerr != nil {
+		w.stop(fmt.Errorf("sched: report: %w", cerr))
+		return false
+	}
+	if a.Err == nil && reply.Accepted {
+		w.mu.Lock()
+		w.stats.Add(a.Stats)
+		w.tasks++
+		w.mu.Unlock()
+	}
+	if reply.Done {
+		w.quitOnce.Do(func() { close(w.quit) })
+		return false
+	}
+	return true
 }
 
 func (w *Worker) taskRevoked(id int64) bool {

@@ -42,7 +42,6 @@ func TestExecutorSteadyStateAllocs(t *testing.T) {
 				t.Fatalf("Compile: %v", err)
 			}
 			src := NewCachedSourceWith(kv.NewLocal(g), g.SizeBytes()*4, SourceOptions{Compact: true})
-			defer src.Close()
 			e := NewExecutor(prog, src, g.NumVertices(), ord, Options{
 				Prefetch:         true,
 				CompactAdjacency: true,

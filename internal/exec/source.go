@@ -27,15 +27,11 @@ import (
 //     varint-delta graph.AdjList payloads — typically 4-8x smaller than
 //     raw int64 slices — served to the executor through GetList.
 //   - Prefetch: the ENU-stage prefetcher hands over a whole candidate
-//     set; uncached keys are fetched in batched round trips. With
-//     PrefetchWorkers == 0 the batch runs inline and errors propagate to
-//     the caller (fully deterministic); with workers the batch is
-//     speculative — it runs in the background and failures are counted,
-//     not raised, because the demand path will re-fetch and surface them.
+//     set; uncached keys are fetched inline in batched round trips and
+//     errors propagate to the caller (fully deterministic).
 //
 // A CachedSource is safe for concurrent use by all worker threads of a
-// machine. Call Close when done (it stops the async prefetch workers; a
-// no-op in synchronous mode).
+// machine.
 type CachedSource struct {
 	store    kv.Store
 	cache    *cache.LRU
@@ -49,26 +45,17 @@ type CachedSource struct {
 	mu      sync.Mutex
 	flights map[int64]*flight
 
-	queue     chan []int64
-	wg        sync.WaitGroup
-	closeOnce sync.Once
-
 	so *sourceObs
 }
 
 // SourceOptions configures a CachedSource's data plane. The zero value
-// reproduces the classic behavior: raw []int64 fetches, no prefetch
-// workers, metrics into obs.Default().
+// reproduces the classic behavior: raw []int64 fetches, metrics into
+// obs.Default().
 type SourceOptions struct {
 	// Compact moves fetches and cache entries to the compact varint-delta
 	// encoding (graph.AdjList). The executor reads compact sources through
 	// GetList and decodes into per-instruction scratch.
 	Compact bool
-	// PrefetchWorkers is the number of background goroutines draining the
-	// prefetch queue. 0 means synchronous prefetch: Prefetch fetches
-	// inline and returns the first batch error (deterministic, used by the
-	// differential matrix and fault-injection tests).
-	PrefetchWorkers int
 	// BatchSize caps the keys per batched store round trip (default 64).
 	BatchSize int
 	// Obs selects the metrics registry (source.* names, see
@@ -108,11 +95,8 @@ type flight struct {
 type sourceObs struct {
 	batchSize   *obs.Histogram
 	dedupJoins  *obs.Counter
-	pfEnqueued  *obs.Counter
-	pfDropped   *obs.Counter
 	pfInstalled *obs.Counter
 	pfUsed      *obs.Counter
-	pfErrors    *obs.Counter
 	bytesSaved  *obs.Counter
 	mixedDecode *obs.Counter
 	mixedEncode *obs.Counter
@@ -126,11 +110,8 @@ func newSourceObs(r *obs.Registry) *sourceObs {
 	return &sourceObs{
 		batchSize:   r.Histogram("source.batch.size"),
 		dedupJoins:  r.Counter("source.singleflight.joins"),
-		pfEnqueued:  r.Counter("source.prefetch.enqueued"),
-		pfDropped:   r.Counter("source.prefetch.dropped"),
 		pfInstalled: r.Counter("source.prefetch.installed"),
 		pfUsed:      r.Counter("source.prefetch.used"),
-		pfErrors:    r.Counter("source.prefetch.errors"),
 		bytesSaved:  r.Counter("source.compact.bytes_saved"),
 		mixedDecode: r.Counter("source.compact.decode_mixed"),
 		mixedEncode: r.Counter("source.compact.encode_mixed"),
@@ -163,25 +144,7 @@ func NewCachedSourceWith(store kv.Store, capacity int64, opts SourceOptions) *Ca
 	// ahead of demand are flagged, and the first demand read of a flagged
 	// entry bumps the counter — no per-hit bookkeeping in the source.
 	s.cache.OnPrefetchUse(s.so.pfUsed.Inc)
-	if opts.PrefetchWorkers > 0 {
-		s.queue = make(chan []int64, opts.PrefetchWorkers*8)
-		for i := 0; i < opts.PrefetchWorkers; i++ {
-			s.wg.Add(1)
-			go s.prefetchWorker()
-		}
-	}
 	return s
-}
-
-// Close stops the async prefetch workers, draining the queue first. It is
-// idempotent and a no-op for synchronous sources.
-func (s *CachedSource) Close() {
-	s.closeOnce.Do(func() {
-		if s.queue != nil {
-			close(s.queue)
-			s.wg.Wait()
-		}
-	})
 }
 
 // GetAdj implements AdjSource.
@@ -307,65 +270,29 @@ func (s *CachedSource) account(keys int, bytes int64) {
 }
 
 // Prefetch implements Prefetcher: batch-fetch the uncached keys of vs
-// into the cache ahead of demand. Synchronous mode (PrefetchWorkers == 0)
-// fetches inline and returns the first batch error; asynchronous mode
-// enqueues copies of the key batches and returns immediately (a full
-// queue drops the overflow — prefetch is speculative, dropping is safe).
-// A disabled cache makes prefetch pointless (nothing can be installed),
-// so it becomes a no-op.
+// into the cache ahead of demand, inline, returning the first batch
+// error. A disabled cache makes prefetch pointless (nothing can be
+// installed), so it becomes a no-op.
 func (s *CachedSource) Prefetch(vs []int64) error {
 	if s.capacity <= 0 || len(vs) == 0 {
 		return nil
 	}
-	// The uncached-key filter runs once per ENU loop; in synchronous mode
-	// the scratch is pooled so steady-state prefetching allocates nothing.
-	// Asynchronous batches escape into the worker queue and keep their
-	// own fresh backing array.
-	var p *[]int64
-	var need []int64
-	if s.queue == nil {
-		p = graph.BorrowInts()
-		s.so.scratchUses.Inc()
-		need = (*p)[:0]
-	} else {
-		need = vs[:0:0]
-	}
-	need = s.cache.AppendMissing(need, vs)
+	// The uncached-key filter runs once per ENU loop; its scratch is
+	// pooled so steady-state prefetching allocates nothing.
+	p := graph.BorrowInts()
+	s.so.scratchUses.Inc()
+	need := s.cache.AppendMissing((*p)[:0], vs)
 	var err error
 	for off := 0; off < len(need) && err == nil; off += s.opts.BatchSize {
 		end := off + s.opts.BatchSize
 		if end > len(need) {
 			end = len(need)
 		}
-		batch := need[off:end]
-		if s.queue != nil {
-			select {
-			case s.queue <- batch:
-				s.so.pfEnqueued.Add(int64(len(batch)))
-			default:
-				s.so.pfDropped.Add(int64(len(batch)))
-			}
-			continue
-		}
-		err = s.fetchBatch(batch)
+		err = s.fetchBatch(need[off:end])
 	}
-	if p != nil {
-		*p = need
-		graph.ReturnInts(p)
-	}
+	*p = need
+	graph.ReturnInts(p)
 	return err
-}
-
-// prefetchWorker drains the async queue. Failures are speculative —
-// counted, never raised — because any key the worker failed to install
-// will be re-fetched (and its error surfaced) by the demand path.
-func (s *CachedSource) prefetchWorker() {
-	defer s.wg.Done()
-	for batch := range s.queue {
-		if err := s.fetchBatch(batch); err != nil {
-			s.so.pfErrors.Inc()
-		}
-	}
 }
 
 // fetchBatch fetches one batch of keys in a single batched store round
